@@ -1,27 +1,21 @@
-//! **Hot-path micro-benchmark** — A/B measurements of the three
-//! overhaul layers, written to `BENCH_hotpath.json`:
+//! **Hot-path micro-benchmark** — A/B measurements of the hot-path
+//! layers, written to `BENCH_hotpath.json` (full run) or
+//! `target/BENCH_hotpath.json` (`--smoke`):
 //!
-//! 1. `digest_cache` — per-share verification of a 40-node
-//!    notarization-share flood with the `(scheme, block)` digest
-//!    computed once (`verify_share_digest`) vs re-hashed on every call
-//!    (`verify_share`);
-//! 2. `batch_verify` — one random-linear-combination equation over the
-//!    whole flood (`verify_batch_digest`) vs per-share checks on the
-//!    same precomputed digest;
-//! 3. `combined` — the acceptance metric: batching *and* digest cache
-//!    on (one hash + one RLC equation) vs both off (k hashes + 2k
-//!    multiplications), which is exactly what the pool's ChangeSet step
-//!    does before/after the overhaul;
-//! 4. `arc_fanout` — fanning a large block proposal out to the 39 other
+//! 1. `digest_cache` — the acceptance metric: per-share verification
+//!    of a 40-node notarization-share flood with the `(scheme, block)`
+//!    digest computed once (`verify_share_digest`, what the pool's
+//!    ChangeSet step does) vs re-hashed on every call (`verify_share`);
+//! 2. `arc_fanout` — fanning a large block proposal out to the 39 other
 //!    parties by `HashedBlock` clone (an `Arc` refcount bump) vs a deep
 //!    copy of the block body (what a by-value fan-out would pay);
-//! 5. `telemetry_overhead` — one round's worth of flood verification
+//! 3. `telemetry_overhead` — one round's worth of flood verification
 //!    with the telemetry layer's instrumentation (per-share counter
 //!    bumps, a histogram sample, a flight-recorder event) vs without.
 //!    With `--no-default-features` the telemetry types are zero-sized
 //!    no-ops and both sides compile to identical code — the
 //!    `telemetry_enabled` field in the JSON says which build ran;
-//! 6. `scrape_under_load` — the same flood while a live admin HTTP
+//! 4. `scrape_under_load` — the same flood while a live admin HTTP
 //!    server is being scraped continuously (`/metrics` hammered from a
 //!    rival thread) vs with no admin plane at all. The admin handler
 //!    only clones a pre-rendered snapshot string — the design bet of
@@ -30,14 +24,14 @@
 //!    no-op server binds nothing and both sides are the bare flood.
 //!
 //! Hand-rolled harness (`harness = false`): `--smoke` shrinks the
-//! iteration counts for CI while still emitting the JSON report.
+//! iteration counts for CI and writes its JSON report under `target/`,
+//! so it never overwrites the committed full-run artifact.
 //!
 //! ```text
 //! cargo bench -p icc-bench --bench hotpath             # full
 //! cargo bench -p icc-bench --bench hotpath -- --smoke  # CI smoke
 //! ```
 
-use icc_crypto::batch::BatchVerdict;
 use icc_crypto::multisig::{MultiSigScheme, MultiSigShare};
 use icc_telemetry::{
     http_get, AdminBuilder, AdminResponse, Counter, FlightRecorder, Histogram, SpanEvent, SpanKind,
@@ -99,8 +93,8 @@ fn main() {
 
     let mut results: Vec<AbResult> = Vec::new();
 
-    // 1. Digest cache: k shares, one hash vs k hashes (all per-share).
-    let digest = scheme.digest(msg);
+    // 1. Digest cache (the acceptance metric): k shares, one hash vs k
+    // hashes (all per-share).
     let baseline = time_ns(reps, iters, || {
         for s in &shares {
             assert!(black_box(scheme.verify_share(black_box(msg), s)));
@@ -119,48 +113,7 @@ fn main() {
         optimised_ns: optimised,
     });
 
-    // 2. Batch verification: one RLC equation vs k per-share checks,
-    // digest precomputed on both sides.
-    let baseline = time_ns(reps, iters, || {
-        for s in &shares {
-            assert!(black_box(scheme.verify_share_digest(black_box(digest), s)));
-        }
-    });
-    let optimised = time_ns(reps, iters, || {
-        assert!(matches!(
-            black_box(scheme.verify_batch_digest(black_box(digest), &shares)),
-            BatchVerdict::AllValid
-        ));
-    });
-    results.push(AbResult {
-        name: "batch_verify",
-        what: "40-node share flood: one RLC equation vs per-share, digest cached",
-        baseline_ns: baseline,
-        optimised_ns: optimised,
-    });
-
-    // 3. Combined (the acceptance metric): everything off vs everything
-    // on — what the ChangeSet step pays per (scheme, block) flood.
-    let baseline = time_ns(reps, iters, || {
-        for s in &shares {
-            assert!(black_box(scheme.verify_share(black_box(msg), s)));
-        }
-    });
-    let optimised = time_ns(reps, iters, || {
-        let d = scheme.digest(black_box(msg));
-        assert!(matches!(
-            black_box(scheme.verify_batch_digest(d, &shares)),
-            BatchVerdict::AllValid
-        ));
-    });
-    results.push(AbResult {
-        name: "combined",
-        what: "40-node share flood: batching + digest cache on vs off",
-        baseline_ns: baseline,
-        optimised_ns: optimised,
-    });
-
-    // 4. Fan-out: a 1000 × 1 KB block to 39 recipients. `HashedBlock`
+    // 2. Fan-out: a 1000 × 1 KB block to 39 recipients. `HashedBlock`
     // clones bump one refcount; the baseline deep-copies the body.
     let commands: Vec<Command> = (0..1000)
         .map(|i| Command::new(vec![(i % 251) as u8; 1024]))
@@ -204,7 +157,7 @@ fn main() {
         optimised_ns: optimised,
     });
 
-    // 5. Telemetry overhead: the instrumentation a round actually pays
+    // 3. Telemetry overhead: the instrumentation a round actually pays
     // (one counter bump per share, one histogram sample and one
     // flight-recorder event per flood) on top of the flood's real
     // verification work. The expectation is "within noise": a handful
@@ -243,7 +196,7 @@ fn main() {
         optimised_ns: instrumented,
     });
 
-    // 6. Scrape under load: the flood with the admin plane live and a
+    // 4. Scrape under load: the flood with the admin plane live and a
     // scraper thread hammering /metrics as fast as it can, vs no admin
     // plane. The handler clones a pre-rendered page (the replica swaps
     // whole snapshots under a mutex off the hot path), so the measured
@@ -338,13 +291,13 @@ fn main() {
             r.what
         );
     }
-    let combined = results
+    let digest_cache = results
         .iter()
-        .find(|r| r.name == "combined")
-        .expect("combined cell present");
+        .find(|r| r.name == "digest_cache")
+        .expect("digest_cache cell present");
     println!(
-        "acceptance: combined speedup {:.2}x (target >= 2.0x)",
-        combined.speedup()
+        "acceptance: digest_cache speedup {:.2}x (target >= 2.0x)",
+        digest_cache.speedup()
     );
     println!(
         "telemetry: {} build, instrumentation overhead {:+.2}% of a round's flood",
@@ -390,8 +343,13 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
     // `cargo bench` sets CWD to the package root; anchor the output at the
-    // workspace root where CI picks it up as an artifact.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hotpath.json");
+    // workspace root. Only a full run writes the committed artifact; a
+    // smoke run writes under `target/`, where CI picks it up.
+    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(if smoke {
+        "../../target/BENCH_hotpath.json"
+    } else {
+        "../../BENCH_hotpath.json"
+    });
     std::fs::write(&out, &json).expect("write BENCH_hotpath.json");
     eprintln!("wrote {}", out.display());
 }

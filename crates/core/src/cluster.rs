@@ -471,12 +471,12 @@ impl<N: Node<External = Command, Output = NodeEvent> + CoreAccess> Cluster<N> {
     }
 
     /// A snapshot of `node`'s artifact-pool counters.
-    pub fn pool_stats(&self, node: usize) -> crate::pool::PoolStats {
+    pub fn pool_stats(&self, node: usize) -> icc_sim::PoolCounters {
         self.sim.node(node).core().pool().stats()
     }
 
     /// A snapshot of `node`'s crash-recovery counters.
-    pub fn recovery_stats(&self, node: usize) -> crate::recovery::RecoveryStats {
+    pub fn recovery_stats(&self, node: usize) -> icc_sim::RecoveryCounters {
         self.sim.node(node).core().recovery_stats()
     }
 
@@ -486,9 +486,9 @@ impl<N: Node<External = Command, Output = NodeEvent> + CoreAccess> Cluster<N> {
     pub fn sample_pool_metrics(&mut self) {
         for i in 0..self.n() {
             let stats = self.pool_stats(i);
-            self.sim.metrics_mut().set_pool_counters(i, stats.into());
+            self.sim.metrics_mut().set_pool_counters(i, stats);
             let rec = self.recovery_stats(i);
-            self.sim.metrics_mut().set_recovery_counters(i, rec.into());
+            self.sim.metrics_mut().set_recovery_counters(i, rec);
             if let Some(g) = self.sim.node(i).gossip_counters() {
                 self.sim.metrics_mut().set_gossip_counters(i, g);
             }

@@ -29,11 +29,12 @@ use crate::delays::Delays;
 use crate::events::NodeEvent;
 use crate::keys::{NodeKeys, PublicSetup};
 use crate::pool::Pool;
-use crate::recovery::{CatchUpError, CatchUpPackage, EpochTransition, RecoveryStats};
+use crate::recovery::{CatchUpError, CatchUpPackage, EpochTransition};
 use crate::storage::{Checkpoint, DurableStore, WalEntry};
 use crate::telemetry::NodeTelemetry;
 use icc_crypto::beacon::RankPermutation;
 use icc_crypto::{hash_parts, Hash256};
+use icc_sim::RecoveryCounters;
 use icc_telemetry::{SpanEvent, SpanKind};
 use icc_types::block::{Block, HashedBlock, Payload};
 use icc_types::messages::{Beacon, BlockProposal, BlockRef, ConsensusMessage};
@@ -154,7 +155,7 @@ pub struct ConsensusCore {
     /// and the `replica` REPORT line, not protocol state.
     last_recovered_round: u64,
     /// Recovery observability counters (restarts, catch-ups, …).
-    recovery: RecoveryStats,
+    recovery: RecoveryCounters,
     /// Protocol metrics + flight recorder. Observability, not replica
     /// state: survives `crash()`/`restore()` like an external monitor.
     telemetry: NodeTelemetry,
@@ -219,7 +220,7 @@ impl ConsensusCore {
             started: false,
             store: DurableStore::new(),
             last_recovered_round: 0,
-            recovery: RecoveryStats::default(),
+            recovery: RecoveryCounters::default(),
             telemetry,
             entered_at: HashMap::new(),
             checkpoint_interval: 8,
@@ -658,7 +659,7 @@ impl ConsensusCore {
 
     /// Recovery counters: core-owned (restarts, catch-ups) composed
     /// with store-owned (WAL appends, checkpoints).
-    pub fn recovery_stats(&self) -> RecoveryStats {
+    pub fn recovery_stats(&self) -> RecoveryCounters {
         let mut s = self.recovery;
         s.wal_appends = self.store.wal_appends();
         s.checkpoints = self.store.checkpoints_taken();
@@ -667,7 +668,7 @@ impl ConsensusCore {
 
     /// Mutable access for the dissemination layer's counters
     /// (rejected packages, catch-up bytes and latency).
-    pub fn recovery_stats_mut(&mut self) -> &mut RecoveryStats {
+    pub fn recovery_stats_mut(&mut self) -> &mut RecoveryCounters {
         &mut self.recovery
     }
 

@@ -71,6 +71,6 @@ pub use consensus::{BlockPolicy, ConsensusCore, Step};
 pub use epoch::{EpochInfo, EpochSchedule, EpochSpec};
 pub use events::NodeEvent;
 pub use node::IccNode;
-pub use recovery::{CatchUpError, CatchUpPackage, RecoveryStats};
+pub use recovery::{CatchUpError, CatchUpPackage};
 pub use storage::{Checkpoint, DurableStore, WalEntry};
 pub use telemetry::{CoreMetrics, NodeTelemetry};

@@ -1,21 +1,22 @@
-//! The ChangeSet step: unvalidated → validated, with batched
-//! verification and the verification cache.
+//! The ChangeSet step: unvalidated → validated, with per-share
+//! verification on memoised digests and the verification cache.
 //!
 //! [`process_changes`] inspects the unvalidated section and decides,
 //! for every queued artifact, whether it moves to the validated
 //! section or is removed. It is the **only** place network artifacts
 //! are cryptographically verified:
 //!
-//! * the signed byte string *and* its field digest are computed once
+//! * the field digest of a block's signed byte string is computed once
 //!   per `(scheme, block)` — all artifacts over the same
 //!   [`BlockRef`](icc_types::messages::BlockRef) (authenticator,
-//!   notarization/finalization shares and aggregates) reuse them
+//!   notarization/finalization shares and aggregates) reuse it
 //!   (the digest-once API, [`MessageDigest`]);
-//! * notarization/finalization **share floods are batch-verified**: all
-//!   `k` shares over one block are checked with a single
-//!   random-linear-combination equation
-//!   ([`MultiSigScheme::verify_batch_digest`]), falling back to
-//!   per-share checks only to localise a bad share;
+//! * notarization/finalization shares are checked one at a time
+//!   ([`verify_share_digest`](icc_crypto::multisig::MultiSigScheme::verify_share_digest))
+//!   against that digest, and
+//!   only until their block has a quorum: a share for a certified
+//!   block, or one arriving after `need` shares are held or accepted,
+//!   is dropped unverified ([`RejectReason::RedundantAfterQuorum`]);
 //! * the [`VerificationCache`] is consulted first, so an artifact whose
 //!   digest verified once never verifies again;
 //! * artifacts this party signed itself are trusted outright.
@@ -24,7 +25,6 @@
 //! known (paper §3.4), so they move to the validated section unverified
 //! and are checked at combine time.
 
-use icc_crypto::batch::BatchVerdict;
 use icc_crypto::beacon::{beacon_sign_message, BeaconValue};
 use icc_crypto::sig::MessageDigest;
 use icc_crypto::Hash256;
@@ -33,13 +33,11 @@ use icc_types::Round;
 use std::collections::HashMap;
 
 use super::cache::VerificationCache;
-use super::stats::PoolStats;
 use super::unvalidated::{ArtifactId, UnvalidatedArtifact, UnvalidatedEntry, UnvalidatedSection};
 use super::validated::ValidatedSection;
 use crate::keys::PublicSetup;
-
-#[allow(unused_imports)] // rustdoc link
-use icc_crypto::multisig::MultiSigScheme;
+use icc_crypto::multisig::MultiSigShare;
+use icc_sim::PoolCounters;
 
 /// Why an artifact was removed without entering the validated section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +51,7 @@ pub enum RejectReason {
     /// quorum (or the aggregate itself) for its block: dropped
     /// *unverified* — it can no longer change any decision. Not a
     /// verification failure; counted in
-    /// [`PoolStats::shares_skipped_after_quorum`], not `rejected`.
+    /// [`PoolCounters::shares_skipped_after_quorum`], not `rejected`.
     RedundantAfterQuorum,
 }
 
@@ -79,7 +77,7 @@ pub enum ChangeAction {
 /// A batch of pool mutations.
 pub type ChangeSet = Vec<ChangeAction>;
 
-/// Which signature scheme a memoised digest or share batch belongs to.
+/// Which signature scheme a memoised digest belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum SchemeKind {
     Auth,
@@ -88,48 +86,40 @@ enum SchemeKind {
 }
 
 /// Computes the ChangeSet for everything currently queued in the
-/// unvalidated section. Pure with respect to the pool sections; only
-/// the cache and counters are updated.
-///
-/// The returned actions are in unvalidated-section iteration order
-/// regardless of how verification work was batched internally, so the
-/// pipeline stays deterministic.
+/// unvalidated section, in one pass and in unvalidated-section
+/// iteration order, so the pipeline stays deterministic. Pure with
+/// respect to the pool sections; only the cache and counters are
+/// updated.
 pub(crate) fn process_changes(
     unvalidated: &UnvalidatedSection,
     validated: &ValidatedSection,
     setup: &PublicSetup,
     cache: &mut VerificationCache,
-    stats: &mut PoolStats,
+    stats: &mut PoolCounters,
 ) -> ChangeSet {
-    let entries: Vec<&UnvalidatedEntry> = unvalidated.entries().collect();
-    let mut decisions: Vec<Option<ChangeAction>> = Vec::with_capacity(entries.len());
-    decisions.resize_with(entries.len(), || None);
-
-    // Memo 1: the canonical signed byte string, per block hash.
-    let mut sign_bytes_memo: HashMap<Hash256, Vec<u8>> = HashMap::new();
-    // Memo 2: the field digest of that byte string, per (scheme, block).
-    // This is the digest-once API: however many artifacts reference one
-    // block, each scheme hashes its byte string exactly once.
+    let mut changes = ChangeSet::new();
+    // The field digest of a block's signed byte string, per (scheme,
+    // block). This is the digest-once API: however many artifacts
+    // reference one block, each scheme hashes its byte string once.
     let mut digest_memo: HashMap<(SchemeKind, Hash256), MessageDigest> = HashMap::new();
-    // Signature-share floods, grouped for batch verification: entry
-    // positions per (scheme, block).
-    let mut share_batches: HashMap<(SchemeKind, Hash256), Vec<usize>> = HashMap::new();
+    // Shares verified per (scheme, block) earlier in this ChangeSet:
+    // they count towards the quorum like the validated section's.
+    let mut accepted: HashMap<(SchemeKind, Hash256), usize> = HashMap::new();
 
-    // Pass 1: immediate decisions; defer share verification into batches.
-    for (pos, entry) in entries.iter().enumerate() {
+    for entry in unvalidated.entries() {
         let artifact = &entry.artifact;
         let round = artifact.round();
 
         // Own artifacts were signed locally a moment ago: trusted.
         if entry.trusted {
             cache.record(entry.id, round);
-            decisions[pos] = Some(ChangeAction::MoveToValidated(artifact.clone()));
+            changes.push(ChangeAction::MoveToValidated(artifact.clone()));
             continue;
         }
         // Cache hit: this exact artifact verified before.
         if cache.contains(&entry.id) {
             stats.verify_cache_hits += 1;
-            decisions[pos] = Some(ChangeAction::MoveToValidated(artifact.clone()));
+            changes.push(ChangeAction::MoveToValidated(artifact.clone()));
             continue;
         }
         // Combined beacon values are self-certifying against the group
@@ -141,7 +131,7 @@ pub(crate) fn process_changes(
             if validated.beacon(b.round).is_some() {
                 // A verified value for this round already exists; the
                 // scheme is unique, so this copy adds nothing.
-                decisions[pos] = Some(ChangeAction::RemoveFromUnvalidated {
+                changes.push(ChangeAction::RemoveFromUnvalidated {
                     id: entry.id,
                     reason: RejectReason::RedundantAfterQuorum,
                 });
@@ -150,37 +140,38 @@ pub(crate) fn process_changes(
             let Some(prev) = b.round.prev().and_then(|p| validated.beacon(p)) else {
                 continue; // predecessor unknown: leave queued
             };
-            let BeaconValue::Signature(sig) = b.value else {
-                stats.rejected += 1;
-                decisions[pos] = Some(ChangeAction::RemoveFromUnvalidated {
-                    id: entry.id,
-                    reason: RejectReason::BadSignature,
-                });
-                continue;
-            };
-            let msg = beacon_sign_message(b.round.get(), prev);
-            stats.verify_calls += 1;
-            decisions[pos] = Some(if setup.beacon.verify(&msg, &sig) {
-                cache.record(entry.id, round);
-                ChangeAction::MoveToValidated(artifact.clone())
-            } else {
-                stats.rejected += 1;
-                ChangeAction::RemoveFromUnvalidated {
-                    id: entry.id,
-                    reason: RejectReason::BadSignature,
+            let verified = match b.value {
+                BeaconValue::Signature(sig) => {
+                    stats.verify_calls += 1;
+                    let msg = beacon_sign_message(b.round.get(), prev);
+                    setup.beacon.verify(&msg, &sig)
                 }
-            });
+                _ => false,
+            };
+            changes.push(decide(
+                entry,
+                (verified, RejectReason::BadSignature),
+                cache,
+                stats,
+            ));
             continue;
         }
         // Beacon shares are verified lazily at combine time (§3.4).
         let Some(block_ref) = artifact.block_ref() else {
-            decisions[pos] = Some(ChangeAction::MoveToValidated(artifact.clone()));
+            changes.push(ChangeAction::MoveToValidated(artifact.clone()));
             continue;
         };
         let block_hash = block_ref.hash;
-        let sign_bytes: &[u8] = sign_bytes_memo
-            .entry(block_hash)
-            .or_insert_with(|| block_ref.sign_bytes());
+        let mut digest = |kind: SchemeKind| {
+            *digest_memo.entry((kind, block_hash)).or_insert_with(|| {
+                let bytes = block_ref.sign_bytes();
+                match kind {
+                    SchemeKind::Auth => MessageDigest::compute(domains::AUTH, &bytes),
+                    SchemeKind::Notary => setup.notary.digest(&bytes),
+                    SchemeKind::Finality => setup.finality.digest(&bytes),
+                }
+            })
+        };
 
         // Per-epoch signer sets: the proposer of a block, every signer
         // of an aggregate, and every share signer must be a *member* of
@@ -189,7 +180,44 @@ pub(crate) fn process_changes(
         // membership gate — not signature verification — is what
         // refuses them.
         let epoch = setup.epoch_of(round);
-        let decided = match artifact {
+        let mut share_verdict = |kind: SchemeKind, share: &MultiSigShare| {
+            if !epoch.is_member(share.signer) {
+                return (false, RejectReason::BadSignature);
+            }
+            // Early stop: once the block is certified, or its quorum of
+            // shares is held or accepted, further shares cannot change
+            // any decision. At n = 1000 that turns ~n share
+            // verifications per block into ~h: the rest are dropped
+            // unverified (never cached, never counted as rejected). This
+            // keeps per-round signature work bounded by the threshold
+            // instead of the subnet size.
+            let (scheme, need, have, certified) = match kind {
+                SchemeKind::Notary => (
+                    &setup.notary,
+                    epoch.notarization_threshold(),
+                    validated.notarization_share_count(&block_hash),
+                    validated.has_notarization(&block_hash),
+                ),
+                SchemeKind::Finality => (
+                    &setup.finality,
+                    epoch.finalization_threshold(),
+                    validated.finalization_share_count(&block_hash),
+                    validated.has_finalization(&block_hash),
+                ),
+                SchemeKind::Auth => unreachable!("authenticators are not shares"),
+            };
+            let key = (kind, block_hash);
+            if certified || have + accepted.get(&key).copied().unwrap_or(0) >= need {
+                return (false, RejectReason::RedundantAfterQuorum);
+            }
+            stats.verify_calls += 1;
+            let verified = scheme.verify_share_digest(digest(kind), share);
+            if verified {
+                *accepted.entry(key).or_default() += 1;
+            }
+            (verified, RejectReason::BadSignature)
+        };
+        let verdict = match artifact {
             UnvalidatedArtifact::Block {
                 block,
                 authenticator,
@@ -198,185 +226,65 @@ pub(crate) fn process_changes(
                 let verified = epoch.is_member(proposer)
                     && setup.auth_keys.get(proposer as usize).is_some_and(|pk| {
                         stats.verify_calls += 1;
-                        let digest = *digest_memo
-                            .entry((SchemeKind::Auth, block_hash))
-                            .or_insert_with(|| MessageDigest::compute(domains::AUTH, sign_bytes));
-                        pk.verify_digest(digest, authenticator)
+                        pk.verify_digest(digest(SchemeKind::Auth), authenticator)
                     });
-                Some((verified, RejectReason::BadAuthenticator))
+                (verified, RejectReason::BadAuthenticator)
             }
             UnvalidatedArtifact::Notarization(n) => {
-                let digest = *digest_memo
-                    .entry((SchemeKind::Notary, block_hash))
-                    .or_insert_with(|| setup.notary.digest(sign_bytes));
                 stats.verify_calls += 1;
-                Some((
-                    setup.notary.verify_subset_digest(
-                        digest,
-                        &n.sig,
-                        epoch.notarization_threshold(),
-                        &epoch.members,
-                    ),
-                    RejectReason::BadSignature,
-                ))
+                let verified = setup.notary.verify_subset_digest(
+                    digest(SchemeKind::Notary),
+                    &n.sig,
+                    epoch.notarization_threshold(),
+                    &epoch.members,
+                );
+                (verified, RejectReason::BadSignature)
             }
             UnvalidatedArtifact::Finalization(f) => {
-                let digest = *digest_memo
-                    .entry((SchemeKind::Finality, block_hash))
-                    .or_insert_with(|| setup.finality.digest(sign_bytes));
                 stats.verify_calls += 1;
-                Some((
-                    setup.finality.verify_subset_digest(
-                        digest,
-                        &f.sig,
-                        epoch.finalization_threshold(),
-                        &epoch.members,
-                    ),
-                    RejectReason::BadSignature,
-                ))
+                let verified = setup.finality.verify_subset_digest(
+                    digest(SchemeKind::Finality),
+                    &f.sig,
+                    epoch.finalization_threshold(),
+                    &epoch.members,
+                );
+                (verified, RejectReason::BadSignature)
             }
             UnvalidatedArtifact::NotarizationShare(s) => {
-                if epoch.is_member(s.share.signer) {
-                    share_batches
-                        .entry((SchemeKind::Notary, block_hash))
-                        .or_default()
-                        .push(pos);
-                    None
-                } else {
-                    Some((false, RejectReason::BadSignature))
-                }
+                share_verdict(SchemeKind::Notary, &s.share)
             }
             UnvalidatedArtifact::FinalizationShare(s) => {
-                if epoch.is_member(s.share.signer) {
-                    share_batches
-                        .entry((SchemeKind::Finality, block_hash))
-                        .or_default()
-                        .push(pos);
-                    None
-                } else {
-                    Some((false, RejectReason::BadSignature))
-                }
+                share_verdict(SchemeKind::Finality, &s.share)
             }
             UnvalidatedArtifact::BeaconShare(_) | UnvalidatedArtifact::Beacon(_) => {
                 unreachable!("handled above: no block_ref")
             }
         };
-        if let Some((ok, reason)) = decided {
-            decisions[pos] = Some(if ok {
-                cache.record(entry.id, round);
-                ChangeAction::MoveToValidated(artifact.clone())
-            } else {
-                stats.rejected += 1;
-                ChangeAction::RemoveFromUnvalidated {
-                    id: entry.id,
-                    reason,
-                }
-            });
-        }
+        changes.push(decide(entry, verdict, cache, stats));
     }
+    changes
+}
 
-    // Pass 2: one RLC equation per (scheme, block) share flood, cut
-    // short at quorum. Iteration order of the map is irrelevant:
-    // decisions land by entry position.
-    for ((kind, block_hash), positions) in share_batches {
-        let round = entries[positions[0]].artifact.round();
-        let epoch = setup.epoch_of(round);
-        let scheme = match kind {
-            SchemeKind::Notary => &setup.notary,
-            SchemeKind::Finality => &setup.finality,
-            SchemeKind::Auth => unreachable!("auth artifacts are never share-batched"),
-        };
-        // Early stop: once the validated section holds the aggregate —
-        // or a full quorum of shares — for this block, further shares
-        // cannot change any decision. At n = 1000 that turns ~n share
-        // verifications per block into ~h: the first `need − have`
-        // verify, the rest are dropped unverified (never cached, never
-        // counted as rejected). This is what keeps per-round signature
-        // work bounded by the threshold instead of the subnet size.
-        let (need, have, certified) = match kind {
-            SchemeKind::Notary => (
-                epoch.notarization_threshold(),
-                validated.notarization_share_count(&block_hash),
-                validated.has_notarization(&block_hash),
-            ),
-            SchemeKind::Finality => (
-                epoch.finalization_threshold(),
-                validated.finalization_share_count(&block_hash),
-                validated.has_finalization(&block_hash),
-            ),
-            SchemeKind::Auth => unreachable!("auth artifacts are never share-batched"),
-        };
-        let quota = if certified {
-            0
-        } else {
-            need.saturating_sub(have)
-        };
-        let cut = quota.min(positions.len());
-        let (head, tail) = positions.split_at(cut);
-        let skip = |pos: usize, stats: &mut PoolStats| {
-            stats.shares_skipped_after_quorum += 1;
-            ChangeAction::RemoveFromUnvalidated {
-                id: entries[pos].id,
-                reason: RejectReason::RedundantAfterQuorum,
-            }
-        };
-        if head.is_empty() {
-            for &pos in tail {
-                decisions[pos] = Some(skip(pos, stats));
-            }
-            continue;
-        }
-        let share_of = |pos: usize| match &entries[pos].artifact {
-            UnvalidatedArtifact::NotarizationShare(s) => s.share,
-            UnvalidatedArtifact::FinalizationShare(s) => s.share,
-            _ => unreachable!("only shares are batched"),
-        };
-        let digest = *digest_memo
-            .entry((kind, block_hash))
-            .or_insert_with(|| scheme.digest(&sign_bytes_memo[&block_hash]));
-        let shares: Vec<_> = head.iter().map(|&pos| share_of(pos)).collect();
-        stats.verify_calls += 1;
-        stats.batch_verifies += 1;
-        stats.batched_shares += shares.len() as u64;
-        match scheme.verify_batch_digest(digest, &shares) {
-            BatchVerdict::AllValid => {
-                for &pos in head {
-                    let entry = entries[pos];
-                    cache.record(entry.id, entry.artifact.round());
-                    decisions[pos] = Some(ChangeAction::MoveToValidated(entry.artifact.clone()));
-                }
-                // The head alone fills the quorum; everything behind it
-                // is dropped unverified.
-                for &pos in tail {
-                    decisions[pos] = Some(skip(pos, stats));
-                }
-            }
-            BatchVerdict::Invalid { .. } => {
-                // Localise per *position* (not per signer index) so a
-                // valid share is never collateral damage of an
-                // equivocating duplicate — and widen back to the full
-                // batch: a bad share in the head must not cost the
-                // valid shares behind it their quorum slot. The
-                // re-checks reuse the digest, so they stay hash-free.
-                for &pos in &positions {
-                    let entry = entries[pos];
-                    stats.verify_calls += 1;
-                    decisions[pos] = Some(if scheme.verify_share_digest(digest, &share_of(pos)) {
-                        cache.record(entry.id, entry.artifact.round());
-                        ChangeAction::MoveToValidated(entry.artifact.clone())
-                    } else {
-                        stats.rejected += 1;
-                        ChangeAction::RemoveFromUnvalidated {
-                            id: entry.id,
-                            reason: RejectReason::BadSignature,
-                        }
-                    });
-                }
-            }
-        }
+/// The action for a verified (`ok`) or refused artifact. A verified
+/// artifact is cached; a refused one counts as skipped at quorum or as
+/// rejected, by `reason`.
+fn decide(
+    entry: &UnvalidatedEntry,
+    (ok, reason): (bool, RejectReason),
+    cache: &mut VerificationCache,
+    stats: &mut PoolCounters,
+) -> ChangeAction {
+    if ok {
+        cache.record(entry.id, entry.artifact.round());
+        return ChangeAction::MoveToValidated(entry.artifact.clone());
     }
-
-    // Every entry has a decision except combined beacon values still
-    // waiting for their predecessor — those stay queued.
-    decisions.into_iter().flatten().collect()
+    if reason == RejectReason::RedundantAfterQuorum {
+        stats.shares_skipped_after_quorum += 1;
+    } else {
+        stats.rejected += 1;
+    }
+    ChangeAction::RemoveFromUnvalidated {
+        id: entry.id,
+        reason,
+    }
 }

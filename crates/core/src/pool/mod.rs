@@ -18,7 +18,8 @@
 //!                    ┌──────────────────────────────────────────────┐
 //!                    │ CHANGESET STEP (changeset.rs)                │
 //!                    │  VerificationCache lookup (cache.rs)         │
-//!                    │  batch signature verify per (round, block)   │
+//!                    │  per-share verify on the (scheme, block)     │
+//!                    │  digest, stopping at quorum                  │
 //!                    │  → MoveToValidated | RemoveFromUnvalidated   │
 //!                    │    | PurgeBelow                              │
 //!                    └───────────────────┬──────────────────────────┘
@@ -57,13 +58,11 @@
 pub mod cache;
 pub mod changeset;
 pub mod reference;
-pub mod stats;
 pub mod unvalidated;
 mod validated;
 
 pub use changeset::{ChangeAction, ChangeSet, RejectReason};
 pub use reference::EagerPool;
-pub use stats::PoolStats;
 pub use unvalidated::{ArtifactId, UnvalidatedArtifact};
 
 use crate::keys::PublicSetup;
@@ -72,6 +71,7 @@ use crate::storage::Checkpoint;
 use cache::VerificationCache;
 use icc_crypto::beacon::{beacon_sign_message, BeaconValue};
 use icc_crypto::Hash256;
+use icc_sim::PoolCounters;
 use icc_types::block::HashedBlock;
 use icc_types::messages::{domains, BlockRef, ConsensusMessage, Finalization, Notarization};
 use icc_types::Round;
@@ -106,7 +106,7 @@ pub struct Pool {
     unvalidated: UnvalidatedSection,
     validated: ValidatedSection,
     cache: VerificationCache,
-    stats: PoolStats,
+    stats: PoolCounters,
 }
 
 impl Pool {
@@ -126,12 +126,12 @@ impl Pool {
             unvalidated: UnvalidatedSection::new(config.per_peer_cap),
             cache: VerificationCache::new(config.cache_enabled),
             setup,
-            stats: PoolStats::default(),
+            stats: PoolCounters::default(),
         }
     }
 
     /// The pool's observability counters.
-    pub fn stats(&self) -> PoolStats {
+    pub fn stats(&self) -> PoolCounters {
         self.stats
     }
 
@@ -195,9 +195,10 @@ impl Pool {
         any
     }
 
-    /// Stage 2: computes the [`ChangeSet`] for everything queued —
-    /// verification (batched per `(round, block)`, through the cache)
-    /// happens here and only here.
+    /// Stage 2: computes the [`ChangeSet`] for everything queued, in
+    /// one pass — verification (per share on the memoised `(scheme,
+    /// block)` digest, through the cache, stopping once a block has its
+    /// quorum) happens here and only here.
     pub fn process_changes(&mut self) -> ChangeSet {
         changeset::process_changes(
             &self.unvalidated,
@@ -1077,7 +1078,7 @@ mod tests {
     }
 
     /// Explicit three-stage pipeline: admit without processing, then
-    /// process and apply one batch.
+    /// process and apply one ChangeSet.
     #[test]
     fn explicit_changeset_pipeline() {
         let ks = keys();
@@ -1103,12 +1104,62 @@ mod tests {
         assert_eq!(pool.unvalidated_len(), 0);
         assert!(pool.is_valid(&b.hash()));
         assert!(pool.completable_notarization(Round::new(1)).is_some());
-        // Batched verification: 4 artifacts over one (round, block) —
-        // the authenticator verifies individually, the 3 notarization
-        // shares collapse into ONE RLC batch equation.
-        assert_eq!(pool.stats().verify_calls, 2);
-        assert_eq!(pool.stats().batch_verifies, 1);
-        assert_eq!(pool.stats().batched_shares, 3);
+        // One verification per artifact: the authenticator and each of
+        // the 3 notarization shares, all on one memoised digest each.
+        assert_eq!(pool.stats().verify_calls, 4);
+    }
+
+    /// A multi-share ChangeSet decides each share in queue order: a
+    /// forged share queued first is rejected without costing a valid
+    /// share behind it its quorum slot, exactly `need` valid shares
+    /// verify, and the one past quorum is dropped unverified.
+    #[test]
+    fn multi_share_changeset_stops_at_quorum() {
+        let ks = keys();
+        let need = ks[0].setup.config.notarization_threshold();
+        let mut pool = Pool::new(Arc::clone(&ks[0].setup));
+        let b = block_at(&ks[1], 1, ks[0].setup.genesis.hash(), 1);
+        assert!(pool.insert(&ConsensusMessage::Proposal(artifacts::proposal(
+            &ks[1],
+            b.clone(),
+            None
+        ))));
+        let r = BlockRef::of_hashed(&b);
+        let mut forged = artifacts::notarization_share(&ks[1], r);
+        forged.share.signer = 3; // forged attribution
+        let mut shares = vec![forged];
+        shares.extend(ks.iter().map(|k| artifacts::notarization_share(k, r)));
+        assert_eq!(shares.len(), need + 2);
+        for s in shares {
+            assert!(pool.insert_unvalidated(&ConsensusMessage::NotarizationShare(s), false));
+        }
+        let verifies_before = pool.stats().verify_calls;
+        let changes = pool.process_changes();
+        assert_eq!(changes.len(), need + 2);
+        assert!(matches!(
+            changes[0],
+            ChangeAction::RemoveFromUnvalidated {
+                reason: RejectReason::BadSignature,
+                ..
+            }
+        ));
+        assert!(changes[1..=need]
+            .iter()
+            .all(|c| matches!(c, ChangeAction::MoveToValidated(_))));
+        assert!(matches!(
+            changes[need + 1],
+            ChangeAction::RemoveFromUnvalidated {
+                reason: RejectReason::RedundantAfterQuorum,
+                ..
+            }
+        ));
+        let st = pool.stats();
+        assert_eq!(st.verify_calls - verifies_before, need as u64 + 1);
+        assert_eq!(st.shares_skipped_after_quorum, 1);
+        assert_eq!(st.rejected, 1);
+        assert!(pool.apply_changes(changes));
+        assert_eq!(pool.unvalidated_len(), 0);
+        assert!(pool.completable_notarization(Round::new(1)).is_some());
     }
 
     /// Regression: the verification-cache key and the ChangeSet digest
@@ -1153,8 +1204,8 @@ mod tests {
         assert_eq!(pool.stats().verify_calls, verifies);
     }
 
-    /// A forged share inside a batch is removed from the unvalidated
-    /// section by its RemoveFromUnvalidated action.
+    /// A forged share is removed from the unvalidated section by its
+    /// RemoveFromUnvalidated action.
     #[test]
     fn forged_share_removed_by_changeset() {
         let ks = keys();

@@ -97,7 +97,7 @@ impl EagerPool {
     }
 
     /// Signature verifications performed (for benchmark comparison with
-    /// [`super::PoolStats::verify_calls`]).
+    /// [`PoolCounters::verify_calls`](icc_sim::PoolCounters::verify_calls)).
     pub fn verify_calls(&self) -> u64 {
         self.verify_calls
     }

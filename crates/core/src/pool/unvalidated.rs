@@ -9,6 +9,7 @@
 
 use icc_crypto::threshold::ThresholdSigShare;
 use icc_crypto::{hash_parts, Hash256};
+use icc_sim::PoolCounters;
 use icc_types::block::HashedBlock;
 use icc_types::codec::encode_to_vec;
 use icc_types::messages::{
@@ -16,8 +17,6 @@ use icc_types::messages::{
 };
 use icc_types::Round;
 use std::collections::{HashMap, HashSet, VecDeque};
-
-use super::stats::PoolStats;
 
 /// The canonical hash identifying one artifact across sections and the
 /// verification cache.
@@ -92,7 +91,8 @@ impl UnvalidatedArtifact {
         }
     }
 
-    /// The round the artifact pertains to (drives GC and batching).
+    /// The round the artifact pertains to (drives GC and the epoch
+    /// membership gate).
     pub fn round(&self) -> Round {
         match self {
             UnvalidatedArtifact::Block { block, .. } => block.round(),
@@ -122,7 +122,7 @@ impl UnvalidatedArtifact {
     }
 
     /// The block reference signed artifacts are over, if any — the
-    /// `(round, block)` batching key of the ChangeSet step.
+    /// ChangeSet step keys its digest memo and quorum count by.
     pub fn block_ref(&self) -> Option<BlockRef> {
         match self {
             UnvalidatedArtifact::Block { block, .. } => Some(BlockRef::of_hashed(block)),
@@ -176,7 +176,7 @@ impl UnvalidatedSection {
         artifact: UnvalidatedArtifact,
         trusted: bool,
         n_parties: usize,
-        stats: &mut PoolStats,
+        stats: &mut PoolCounters,
     ) -> bool {
         // Structural checks: no crypto, just plausibility.
         let structurally_ok = match &artifact {

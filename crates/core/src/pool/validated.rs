@@ -10,6 +10,7 @@
 use icc_crypto::beacon::{beacon_sign_message, BeaconValue};
 use icc_crypto::threshold::ThresholdSigShare;
 use icc_crypto::Hash256;
+use icc_sim::PoolCounters;
 use icc_types::block::HashedBlock;
 use icc_types::messages::{
     BlockRef, Finalization, FinalizationShare, Notarization, NotarizationShare,
@@ -19,7 +20,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use super::cache::VerificationCache;
-use super::stats::PoolStats;
 use super::unvalidated::{beacon_share_id, UnvalidatedArtifact};
 use crate::keys::PublicSetup;
 
@@ -545,7 +545,7 @@ impl ValidatedSection {
         &mut self,
         round: Round,
         cache: &mut VerificationCache,
-        stats: &mut PoolStats,
+        stats: &mut PoolCounters,
     ) -> Option<BeaconValue> {
         if self.beacons.contains_key(&round) {
             return None;

@@ -256,62 +256,3 @@ impl fmt::Display for CatchUpError {
 }
 
 impl std::error::Error for CatchUpError {}
-
-icc_telemetry::counter_set! {
-    /// Per-replica recovery counters, surfaced through
-    /// [`ConsensusCore::recovery_stats`](crate::ConsensusCore::recovery_stats)
-    /// and mirrored into `icc-sim`'s [`RecoveryCounters`](icc_sim::RecoveryCounters).
-    ///
-    /// Generated by [`icc_telemetry::counter_set!`], so `merge` can
-    /// never drift from the field list.
-    pub struct RecoveryStats {
-        /// Times this replica restarted from durable state.
-        pub restarts: u64,
-        /// Sum over catch-ups of how many rounds behind `kmax` was.
-        pub rounds_behind_total: u64,
-        /// Catch-up packages verified and applied.
-        pub catch_up_applied: u64,
-        /// Catch-up packages rejected (forged, truncated, or stale).
-        pub catch_up_rejected: u64,
-        /// Bytes of catch-up packages received (applied or rejected).
-        pub catch_up_bytes: u64,
-        /// Microseconds from detecting lag to applying a package,
-        /// summed over catch-ups (divide by `catch_up_applied` for the
-        /// mean).
-        pub catch_up_latency_us: u64,
-        /// Entries appended to the write-ahead log.
-        pub wal_appends: u64,
-        /// Checkpoints taken.
-        pub checkpoints: u64,
-        /// Signature verifications performed while replaying durable
-        /// state on restore. The whole point of the trusted replay path
-        /// is that this stays **zero** — the durability tests and the
-        /// `net_cluster` restart assertion enforce it.
-        pub restore_verifications: u64,
-        /// Catch-up packages applied whose certificate chain crossed at
-        /// least one epoch boundary (each chain link verified under the
-        /// outgoing epoch's signer set).
-        pub cross_epoch_catch_ups: u64,
-        /// Epoch boundaries this replica activated (locally finalized
-        /// its way across, or crossed via a certified catch-up).
-        pub epoch_transitions: u64,
-    }
-}
-
-impl From<RecoveryStats> for icc_sim::RecoveryCounters {
-    fn from(s: RecoveryStats) -> icc_sim::RecoveryCounters {
-        icc_sim::RecoveryCounters {
-            restarts: s.restarts,
-            rounds_behind_total: s.rounds_behind_total,
-            catch_up_applied: s.catch_up_applied,
-            catch_up_rejected: s.catch_up_rejected,
-            catch_up_bytes: s.catch_up_bytes,
-            catch_up_latency_us: s.catch_up_latency_us,
-            wal_appends: s.wal_appends,
-            checkpoints: s.checkpoints,
-            restore_verifications: s.restore_verifications,
-            cross_epoch_catch_ups: s.cross_epoch_catch_ups,
-            epoch_transitions: s.epoch_transitions,
-        }
-    }
-}

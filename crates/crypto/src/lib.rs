@@ -66,7 +66,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod beacon;
 pub mod dkg;
 pub mod field;

@@ -11,7 +11,6 @@
 //! Aggregation here is field addition (our scheme is linear, like BLS):
 //! the aggregate verifies against the sum of the signatories' public keys.
 
-use crate::batch::{verify_batch_digest, BatchVerdict};
 use crate::sig::{MessageDigest, PublicKey, SecretKey, Signature};
 use crate::CryptoError;
 use crate::Fp;
@@ -190,43 +189,6 @@ impl MultiSigScheme {
         match self.public_keys.get(share.signer as usize) {
             Some(pk) => pk.verify_digest(digest, &share.signature),
             None => false,
-        }
-    }
-
-    /// Batch-verifies `k` shares on one message with a single field
-    /// equation (see [`crate::batch`]). Shares with out-of-range signer
-    /// indices are reported as bad without entering the equation; on an
-    /// equation failure the per-share fallback localises the culprits.
-    ///
-    /// Equivalent to (but ~`k`× cheaper in hashing than) calling
-    /// [`verify_share`](Self::verify_share) on every share.
-    pub fn verify_batch(&self, msg: &[u8], shares: &[MultiSigShare]) -> BatchVerdict {
-        self.verify_batch_digest(self.digest(msg), shares)
-    }
-
-    /// Hash-free variant of [`verify_batch`](Self::verify_batch) against a
-    /// pre-computed digest.
-    pub fn verify_batch_digest(
-        &self,
-        digest: MessageDigest,
-        shares: &[MultiSigShare],
-    ) -> BatchVerdict {
-        let mut unknown: Vec<u32> = Vec::new();
-        let mut known: Vec<(u32, PublicKey, Signature)> = Vec::with_capacity(shares.len());
-        for share in shares {
-            match self.public_keys.get(share.signer as usize) {
-                Some(&pk) => known.push((share.signer, pk, share.signature)),
-                None => unknown.push(share.signer),
-            }
-        }
-        let mut bad = unknown;
-        if let BatchVerdict::Invalid { bad_signers } = verify_batch_digest(digest, &known) {
-            bad.extend(bad_signers);
-        }
-        if bad.is_empty() {
-            BatchVerdict::AllValid
-        } else {
-            BatchVerdict::Invalid { bad_signers: bad }
         }
     }
 
@@ -587,28 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_batch_empty_is_valid() {
-        let (s, _) = scheme(2, 4);
-        assert!(s.verify_batch(b"m", &[]).is_valid());
-    }
-
-    #[test]
-    fn verify_batch_unknown_signer_localised_without_equation() {
-        let (s, keys) = scheme(2, 4);
-        let mut sh = shares(&s, &keys, &[0, 1, 2], b"m");
-        sh.push(MultiSigShare {
-            signer: 99,
-            signature: keys[0].sign("test", b"m"),
-        });
-        assert_eq!(
-            s.verify_batch(b"m", &sh),
-            crate::batch::BatchVerdict::Invalid {
-                bad_signers: vec![99]
-            }
-        );
-    }
-
-    #[test]
     fn verify_digest_agrees_with_verify() {
         let (s, keys) = scheme(3, 4);
         let agg = s
@@ -617,84 +557,5 @@ mod tests {
         let d = s.digest(b"m");
         assert!(s.verify_digest(d, &agg));
         assert!(!s.verify_digest(s.digest(b"other"), &agg));
-    }
-
-    mod differential {
-        //! `verify_batch ≡ ∀ verify_share`, exercised over random share
-        //! sets with random corruption, duplicates, and unknown signers.
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_batch_equals_per_share(
-                n in 1usize..24,
-                msg in proptest::collection::vec(any::<u8>(), 0..48),
-                // Which shares to corrupt (bitmask) and how.
-                corrupt_mask in any::<u32>(),
-                corrupt_xor in 1u64..1_000_000,
-                dup in any::<bool>(),
-                unknown in any::<bool>(),
-            ) {
-                let (s, keys) = scheme(1, n);
-                let idx: Vec<u32> = (0..n as u32).collect();
-                let mut sh = shares(&s, &keys, &idx, &msg);
-                for (i, share) in sh.iter_mut().enumerate() {
-                    if corrupt_mask & (1 << (i % 32)) != 0 {
-                        share.signature =
-                            Signature::from_value(share.signature.value() ^ corrupt_xor);
-                    }
-                }
-                if dup && !sh.is_empty() {
-                    let copy = sh[0];
-                    sh.push(copy);
-                }
-                if unknown {
-                    sh.push(MultiSigShare {
-                        signer: n as u32 + 7,
-                        signature: keys[0].sign("test", &msg),
-                    });
-                }
-                let per_share_bad: Vec<u32> = sh
-                    .iter()
-                    .filter(|x| !s.verify_share(&msg, x))
-                    .map(|x| x.signer)
-                    .collect();
-                match s.verify_batch(&msg, &sh) {
-                    crate::batch::BatchVerdict::AllValid => {
-                        prop_assert!(per_share_bad.is_empty());
-                    }
-                    crate::batch::BatchVerdict::Invalid { mut bad_signers } => {
-                        // Batch reports unknown signers first, then
-                        // equation-localised ones; compare as multisets.
-                        let mut expected = per_share_bad.clone();
-                        bad_signers.sort_unstable();
-                        expected.sort_unstable();
-                        prop_assert_eq!(bad_signers, expected);
-                        prop_assert!(!per_share_bad.is_empty());
-                    }
-                }
-            }
-
-            #[test]
-            fn prop_exactly_one_bad_share_is_localised(
-                n in 2usize..24,
-                bad_at in any::<usize>(),
-                msg in proptest::collection::vec(any::<u8>(), 1..32),
-            ) {
-                let (s, keys) = scheme(1, n);
-                let idx: Vec<u32> = (0..n as u32).collect();
-                let mut sh = shares(&s, &keys, &idx, &msg);
-                let bad_at = bad_at % n;
-                sh[bad_at].signature =
-                    Signature::from_value(sh[bad_at].signature.value() ^ 1);
-                prop_assert_eq!(
-                    s.verify_batch(&msg, &sh),
-                    crate::batch::BatchVerdict::Invalid {
-                        bad_signers: vec![bad_at as u32]
-                    }
-                );
-            }
-        }
     }
 }
