@@ -32,7 +32,7 @@
 
 use crate::config::ClusterSpec;
 use crate::counters::{NetCounters, NetCountersSnapshot};
-use crate::links::{LinkGauges, PeerLinkSnapshot};
+use crate::links::LinkGauges;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use icc_sim::{RecvError, Transport, TransportEvent};
@@ -98,11 +98,9 @@ impl Default for NetOptions {
 struct Shared {
     shutdown: AtomicBool,
     counters: Arc<NetCounters>,
-    /// `alive[p]`: whether the outbound connection to peer `p` is
-    /// currently established (own index always true).
-    alive: Vec<AtomicBool>,
-    /// Per-peer link gauges (queue depth, backoff, last-frame-seen),
-    /// feeding the admin plane's `/status` endpoint.
+    /// Per-peer link gauges (connection state, queue depth, backoff,
+    /// last-frame-seen): the liveness source for `snapshot_alive` and
+    /// the admin plane's `/status` endpoint.
     links: Arc<LinkGauges>,
     opts: NetOptions,
 }
@@ -197,7 +195,6 @@ where
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
             counters: Arc::new(NetCounters::default()),
-            alive: (0..n).map(|_| AtomicBool::new(false)).collect(),
             links: Arc::new(LinkGauges::new(
                 me.as_usize(),
                 n,
@@ -205,7 +202,6 @@ where
             )),
             opts,
         });
-        shared.alive[me.as_usize()].store(true, Ordering::Relaxed);
         let (inbox_tx, inbox) = unbounded();
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let mut threads = Vec::new();
@@ -269,7 +265,7 @@ where
     }
 
     /// Point-in-time per-peer link state (self excluded).
-    pub fn links(&self) -> Vec<PeerLinkSnapshot> {
+    pub fn links(&self) -> Vec<icc_telemetry::PeerLinkStatus> {
         self.shared.links.snapshot()
     }
 
@@ -288,7 +284,7 @@ where
 
     /// Whether the outbound connection to `peer` is currently up.
     pub fn peer_connected(&self, peer: NodeIndex) -> bool {
-        self.shared.alive[peer.as_usize()].load(Ordering::Relaxed)
+        self.shared.links.is_up(peer.as_usize())
     }
 
     /// Enqueues an already-framed message for `peer`, applying the
@@ -368,10 +364,10 @@ where
 
     /// Reports outbound-connection liveness — the failure-detection
     /// signal a TCP deployment gets for free (a dead peer's dial loop
-    /// is in backoff, so `alive[p]` is false).
+    /// is in backoff, so its link gauge reads disconnected).
     fn snapshot_alive(&self, alive: &mut [bool]) -> bool {
-        for (i, a) in self.shared.alive.iter().enumerate() {
-            alive[i] = a.load(Ordering::Relaxed);
+        for (i, a) in alive.iter_mut().enumerate() {
+            *a = self.shared.links.is_up(i);
         }
         true
     }
@@ -452,7 +448,6 @@ fn writer_loop(
         was_connected = true;
         backoff = opts.reconnect_base;
         link.backoff_ms.store(0, Ordering::Relaxed);
-        shared.alive[peer].store(true, Ordering::Relaxed);
         link.connected.store(true, Ordering::Relaxed);
         // Connected: drain the queue into the socket.
         loop {
@@ -467,19 +462,16 @@ fn writer_loop(
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if shared.shutting_down() {
-                        shared.alive[peer].store(false, Ordering::Relaxed);
                         link.connected.store(false, Ordering::Relaxed);
                         break 'outer;
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    shared.alive[peer].store(false, Ordering::Relaxed);
                     link.connected.store(false, Ordering::Relaxed);
                     break 'outer; // transport dropped
                 }
             }
         }
-        shared.alive[peer].store(false, Ordering::Relaxed);
         link.connected.store(false, Ordering::Relaxed);
     }
 }

@@ -69,6 +69,9 @@ pub use serve::{
 /// * `merge(&mut self, &Self)` summing **every** field,
 /// * `fields(&self) -> Vec<(&'static str, u64)>` in declaration order
 ///   (used by the Prometheus exporter, so exports can't drift either),
+/// * `fields_mut(&mut self)`, the same list by mutable reference (used
+///   by report decoders), and `to_json(self)`, the list as a flat JSON
+///   object,
 /// * `filled(v) -> Self` setting every field to `v` (the
 ///   compile-coupled test helper: merging two `filled(v)` snapshots
 ///   must yield `filled(2 * v)`).
@@ -122,6 +125,24 @@ macro_rules! counter_set {
                 ::std::vec![ $( (stringify!($field), self.$field), )+ ]
             }
 
+            /// The fields as one flat JSON object, in declaration
+            /// order (`{"name":value,...}`).
+            pub fn to_json(self) -> ::std::string::String {
+                let pairs: ::std::vec::Vec<::std::string::String> = self
+                    .fields()
+                    .iter()
+                    .map(|(name, v)| ::std::format!("\"{name}\":{v}"))
+                    .collect();
+                ::std::format!("{{{}}}", pairs.join(","))
+            }
+
+            /// `(name, &mut value)` pairs for every field, in
+            /// declaration order — how a decoder fills the struct by
+            /// name without naming a field twice.
+            pub fn fields_mut(&mut self) -> ::std::vec::Vec<(&'static str, &mut u64)> {
+                ::std::vec![ $( (stringify!($field), &mut self.$field), )+ ]
+            }
+
             /// A snapshot with **every** field set to `v`. Pairing
             /// this with [`Self::merge`] in a test couples aggregation
             /// to the field list at compile time: `filled(v)` merged
@@ -158,5 +179,20 @@ mod macro_tests {
     fn fields_in_declaration_order() {
         let x = Three { a: 1, b: 2, c: 3 };
         assert_eq!(x.fields(), vec![("a", 1), ("b", 2), ("c", 3)]);
+    }
+
+    #[test]
+    fn to_json_lists_every_field() {
+        let x = Three { a: 1, b: 2, c: 3 };
+        assert_eq!(x.to_json(), "{\"a\":1,\"b\":2,\"c\":3}");
+    }
+
+    #[test]
+    fn fields_mut_reaches_every_field() {
+        let mut x = Three::default();
+        for (_, v) in x.fields_mut() {
+            *v = 9;
+        }
+        assert_eq!(x, Three::filled(9));
     }
 }

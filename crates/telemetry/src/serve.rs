@@ -337,7 +337,7 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, S
 /// Everything `/health` evaluation needs, snapshotted by the caller.
 /// All times are in the caller's clock domain (µs), so the same
 /// evaluation runs under sim time and wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct HealthInputs {
     /// "Now" in the caller's clock domain.
     pub now_us: u64,
@@ -367,6 +367,8 @@ pub struct HealthReport {
     pub healthy: bool,
     /// Static names of the failing checks (empty when healthy).
     pub reasons: Vec<&'static str>,
+    /// What the verdict was judged on.
+    pub inputs: HealthInputs,
 }
 
 /// Pure `/health` evaluation over a [`HealthInputs`] snapshot.
@@ -384,13 +386,24 @@ pub fn evaluate_health(h: &HealthInputs) -> HealthReport {
     HealthReport {
         healthy: reasons.is_empty(),
         reasons,
+        inputs: *h,
     }
 }
 
 impl HealthReport {
+    /// The HTTP status `/health` answers with: 200 or 503.
+    pub fn status(&self) -> u16 {
+        if self.healthy {
+            200
+        } else {
+            503
+        }
+    }
+
     /// The `/health` JSON body (hand-rolled; reasons are static
     /// identifiers, no escaping needed).
-    pub fn to_json(&self, h: &HealthInputs) -> String {
+    pub fn to_json(&self) -> String {
+        let h = &self.inputs;
         let mut s = format!(
             "{{\"healthy\":{},\"committed_round\":{},\"progress_age_us\":{},\
              \"peers_up\":{},\"peers_total\":{},\"wal_io_errors\":{},\"reasons\":[",
@@ -544,7 +557,7 @@ mod tests {
                 "wal_io_errors"
             ]
         );
-        let json = bad.to_json(&inputs());
+        let json = bad.to_json();
         assert!(json.contains("\"healthy\":false"));
         assert!(json.contains("round_progress_stalled"));
     }
@@ -552,8 +565,8 @@ mod tests {
     #[test]
     fn health_render_is_deterministic() {
         let h = inputs();
-        let a = evaluate_health(&h).to_json(&h);
-        let b = evaluate_health(&h).to_json(&h);
+        let a = evaluate_health(&h).to_json();
+        let b = evaluate_health(&h).to_json();
         assert_eq!(a, b);
     }
 

@@ -146,7 +146,8 @@ impl StorageCounters {
         out
     }
 
-    fn fields_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+    /// `(name, &mut value)` pairs in declaration order.
+    pub fn fields_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
         vec![
             ("records_appended", &mut self.records_appended),
             ("bytes_appended", &mut self.bytes_appended),

@@ -56,6 +56,7 @@
 //!
 //! Results land in `BENCH_net.json` (override with `--bench-out`).
 
+use icc_node::ReplicaReport;
 use icc_telemetry::{http_get, stitch_chrome_traces};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
@@ -94,6 +95,13 @@ fn usage(err: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Parses the value of `flag`, or exits with usage.
+fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("bad {flag}")))
+}
+
 fn parse() -> Opts {
     let mut opts = Opts {
         nodes: 4,
@@ -117,21 +125,9 @@ fn parse() -> Opts {
                 .clone()
         };
         match flag.as_str() {
-            "--nodes" => {
-                opts.nodes = val("--nodes")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --nodes"))
-            }
-            "--secs" => {
-                opts.secs = val("--secs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --secs"))
-            }
-            "--seed" => {
-                opts.seed = val("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --seed"))
-            }
+            "--nodes" => opts.nodes = num(flag, val(flag)),
+            "--secs" => opts.secs = num(flag, val(flag)),
+            "--seed" => opts.seed = num(flag, val(flag)),
             "--no-churn" => opts.churn = false,
             "--replace-node" => {
                 opts.replace = true;
@@ -267,21 +263,6 @@ impl Instance {
         let lines = std::mem::take(&mut *self.lines.lock().expect("stdout sink"));
         (self.me, lines)
     }
-}
-
-/// Pulls `"key":<u64>` out of a REPORT line (the launcher wrote the
-/// replica, so this narrow parse is safe).
-fn report_u64(report: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let Some(at) = report.find(&pat) else {
-        return 0;
-    };
-    report[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
 }
 
 /// Epoch boundary round for `--replace-node`. Low enough that it has
@@ -523,7 +504,7 @@ fn main() {
     let mut by_round: HashMap<u64, String> = HashMap::new();
     let mut commits_total = 0u64;
     let mut final_round: HashMap<usize, u64> = HashMap::new();
-    let mut reports: Vec<(usize, String)> = Vec::new();
+    let mut reports: Vec<(usize, ReplicaReport)> = Vec::new();
     for (me, lines) in &finished {
         for line in lines {
             let mut parts = line.split_whitespace();
@@ -556,7 +537,9 @@ fn main() {
                     }
                 }
                 Some("REPORT") => {
-                    reports.push((*me, line["REPORT ".len()..].to_string()));
+                    let report = ReplicaReport::decode(&line["REPORT ".len()..])
+                        .unwrap_or_else(|e| panic!("replica {me}: {e}: {line}"));
+                    reports.push((*me, report));
                 }
                 _ => {}
             }
@@ -579,38 +562,24 @@ fn main() {
 
     // --- Recovery: the restarted replica used certified catch-up, and
     // the survivors' writers redialed it.
-    let catch_ups: u64 = reports
-        .iter()
-        .filter(|(me, _)| *me == victim)
-        .map(|(_, r)| report_u64(r, "catch_up_applied"))
-        .sum();
-    let reconnects: u64 = reports
-        .iter()
-        .map(|(_, r)| report_u64(r, "reconnects"))
-        .sum();
+    // Sums one field over the reports of `who` (every replica if None).
+    let total = |who: Option<usize>, field: fn(&ReplicaReport) -> u64| -> u64 {
+        reports
+            .iter()
+            .filter(|(me, _)| who.is_none_or(|w| w == *me))
+            .map(|(_, r)| field(r))
+            .sum()
+    };
+    let catch_ups = total(Some(victim), |r| r.recovery.catch_up_applied);
+    let reconnects = total(None, |r| r.net.reconnects);
     // --- Durability: the restarted victim (the only incarnation that
     // lives long enough to print a REPORT) must have restored its
     // pre-crash state from its own WAL — without re-verifying a single
     // signature. The SIGKILLed incarnation never reported, so these
     // aggregates are exactly the restarted one's numbers.
-    let victim_reports: Vec<&String> = reports
-        .iter()
-        .filter(|(me, _)| *me == victim)
-        .map(|(_, r)| r)
-        .collect();
-    let recovered_round: u64 = victim_reports
-        .iter()
-        .map(|r| report_u64(r, "recovered_round"))
-        .max()
-        .unwrap_or(0);
-    let recovered_records: u64 = victim_reports
-        .iter()
-        .map(|r| report_u64(r, "recovered_records"))
-        .sum();
-    let restore_verifications: u64 = victim_reports
-        .iter()
-        .map(|r| report_u64(r, "restore_verifications"))
-        .sum();
+    let recovered_round = total(Some(victim), |r| r.recovered_round);
+    let recovered_records = total(Some(victim), |r| r.storage.recovered_records);
+    let restore_verifications = total(Some(victim), |r| r.recovery.restore_verifications);
     if opts.churn {
         assert!(
             catch_ups >= 1,
@@ -642,17 +611,9 @@ fn main() {
     let mut joiner_cross_epoch = 0u64;
     let mut epoch_transitions_min = 0u64;
     if opts.replace {
-        let stat = |who: usize, key: &str| -> u64 {
-            reports
-                .iter()
-                .filter(|(me, _)| *me == who)
-                .map(|(_, r)| report_u64(r, key))
-                .max()
-                .unwrap_or(0)
-        };
-        joiner_cross_epoch = stat(joiner, "cross_epoch_catch_ups");
+        joiner_cross_epoch = total(Some(joiner), |r| r.recovery.cross_epoch_catch_ups);
         assert!(
-            stat(joiner, "catch_up_applied") >= 1,
+            total(Some(joiner), |r| r.recovery.catch_up_applied) >= 1,
             "joiner {joiner} rejoined without a certified catch-up package"
         );
         assert!(
@@ -662,7 +623,7 @@ fn main() {
         // The retiree was killed and never reported; every other
         // original member must have crossed the boundary live.
         epoch_transitions_min = (0..n - 1)
-            .map(|me| stat(me, "epoch_transitions"))
+            .map(|me| total(Some(me), |r| r.recovery.epoch_transitions))
             .min()
             .unwrap_or(0);
         assert!(
@@ -694,9 +655,9 @@ fn main() {
         );
     }
 
-    // --- BENCH_net.json: the REPORT lines are already JSON objects.
+    // --- BENCH_net.json: each replica's REPORT object, re-encoded.
     reports.sort_by_key(|(me, _)| *me);
-    let replica_objs: Vec<String> = reports.into_iter().map(|(_, r)| r).collect();
+    let replica_objs: Vec<String> = reports.iter().map(|(_, r)| r.encode()).collect();
     let bench = format!(
         "{{\"bench\":\"net_cluster\",\"nodes\":{n},\"secs\":{},\"seed\":{},\"churn\":{},\
          \"replace\":{},\"joiner_cross_epoch\":{joiner_cross_epoch},\

@@ -20,7 +20,9 @@
 //! * `READY <addr>` — listener bound, mesh dialing.
 //! * `COMMIT <round> <hash>` — a block joined this replica's chain
 //!   (the launcher cross-checks these across processes for safety).
-//! * `REPORT {json}` — final counters on shutdown.
+//! * `REPORT {json}` — final counters on shutdown, encoded by
+//!   `icc_node::ReplicaReport` (the launcher decodes it with the same
+//!   type).
 //!
 //! `--trace-out` writes this replica's flight-recorder spans as a
 //! Chrome trace; `--metrics-out` writes a Prometheus snapshot. Both are
@@ -28,23 +30,28 @@
 //! binary catches for a graceful shutdown (SIGKILL stays the
 //! hard-crash path the durability machinery exists for).
 //!
-//! `--admin-port` starts the **live observability plane**: a one-thread
-//! HTTP/1.0 admin server (`ADMIN <addr>` on stdout) serving
+//! The node runs inside `icc_node::ObservedNode`, the same wrapper the
+//! simulator tests drive: a publish timer feeds the anomaly detector
+//! and judges `/health` whether or not anyone is watching.
+//! `--admin-port` additionally starts the **live observability plane**:
+//! a one-thread HTTP/1.0 admin server (`ADMIN <addr>` on stdout)
+//! serving
 //!
-//! * `/metrics` — the same Prometheus render `--metrics-out` writes at
-//!   exit, refreshed every publish tick while the replica runs;
-//! * `/health` — 200/503 readiness from round-progress rate, peer
-//!   connectivity, and WAL I/O errors;
+//! * `/metrics` — the same `icc_replica_*` render `--metrics-out`
+//!   writes at exit (and `scenario --metrics-out` writes for a sim
+//!   node), refreshed every publish tick while the replica runs;
+//! * `/health` — 200/503 readiness from commit progress, reachable
+//!   peers (a notarization quorum counting self), and WAL I/O errors;
 //! * `/status` — JSON: rounds, epoch, finalized frontier, the per-peer
 //!   link table (queue depth, backoff, last-frame age), recent
 //!   anomalies;
 //! * `/trace` — the flight-recorder ring as clock-anchored Chrome
 //!   trace JSON (what `net_cluster --stitched-trace` merges).
 //!
-//! The publisher is a driver-loop timer, so endpoint handlers never
-//! touch consensus state — they serve the latest published snapshot
-//! from a mutex, and a scrape can never block a round. With the
-//! `telemetry` feature off the whole plane compiles to no-ops.
+//! Endpoint handlers never touch consensus state — they serve the
+//! latest published snapshot from a mutex, and a scrape can never block
+//! a round. With the `telemetry` feature off the whole plane compiles
+//! to no-ops.
 //!
 //! `--data-dir` makes the replica durable: everything it certifies is
 //! persisted to a segmented write-ahead log + checkpoint file in that
@@ -60,23 +67,16 @@ use icc_core::epoch::EpochSchedule;
 use icc_core::events::NodeEvent;
 use icc_core::keys::{generate_keys, generate_keys_with_schedule};
 use icc_core::storage::DurableStore;
-use icc_core::storage::StorageCounters;
-use icc_gossip::{GossipConfig, GossipMessage, GossipNode, Overlay};
-use icc_net::{
-    ClusterSpec, LinkGauges, NetCounters, NetCountersSnapshot, NetOptions, TcpTransport,
-};
+use icc_gossip::{GossipConfig, GossipNode, Overlay};
+use icc_net::{ClusterSpec, NetOptions, TcpTransport};
+use icc_node::{ObservedNode, ReplicaReport};
 use icc_sim::runtime::drive;
-use icc_sim::{Context, Node};
-use icc_telemetry::{
-    chrome_trace_tagged, evaluate_health, AdminBuilder, AdminResponse, HealthInputs,
-    PeerLinkStatus, PromSnapshot, StatusReport,
-};
 use icc_types::{Command, NodeIndex, SimDuration, SubnetConfig};
 use icc_wal::{FsyncPolicy, WalOptions};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 struct Opts {
@@ -140,6 +140,13 @@ fn write_durable(path: &str, bytes: &[u8]) -> std::io::Result<()> {
     f.sync_all()
 }
 
+/// Parses the value of `flag`, or exits with usage.
+fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("bad {flag}")))
+}
+
 fn parse() -> Opts {
     let mut opts = Opts {
         config: String::new(),
@@ -171,37 +178,13 @@ fn parse() -> Opts {
         };
         match flag.as_str() {
             "--config" => opts.config = val("--config"),
-            "--me" => opts.me = val("--me").parse().unwrap_or_else(|_| usage("bad --me")),
-            "--secs" => {
-                opts.secs = val("--secs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --secs"))
-            }
-            "--seed" => {
-                opts.seed = val("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --seed"))
-            }
-            "--delta-bnd-ms" => {
-                opts.delta_bnd_ms = val("--delta-bnd-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --delta-bnd-ms"))
-            }
-            "--epsilon-ms" => {
-                opts.epsilon_ms = val("--epsilon-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --epsilon-ms"))
-            }
-            "--cmd-rate" => {
-                opts.cmd_rate = val("--cmd-rate")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --cmd-rate"))
-            }
-            "--cmd-size" => {
-                opts.cmd_size = val("--cmd-size")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --cmd-size"))
-            }
+            "--me" => opts.me = num(flag, val(flag)),
+            "--secs" => opts.secs = num(flag, val(flag)),
+            "--seed" => opts.seed = num(flag, val(flag)),
+            "--delta-bnd-ms" => opts.delta_bnd_ms = num(flag, val(flag)),
+            "--epsilon-ms" => opts.epsilon_ms = num(flag, val(flag)),
+            "--cmd-rate" => opts.cmd_rate = num(flag, val(flag)),
+            "--cmd-size" => opts.cmd_size = num(flag, val(flag)),
             "--data-dir" => opts.data_dir = Some(val("--data-dir")),
             "--fsync" => {
                 opts.fsync = FsyncPolicy::parse(&val("--fsync"))
@@ -210,13 +193,7 @@ fn parse() -> Opts {
             "--trace-out" => opts.trace_out = Some(val("--trace-out")),
             "--metrics-out" => opts.metrics_out = Some(val("--metrics-out")),
             "--epochs" => opts.epochs = Some(val("--epochs")),
-            "--admin-port" => {
-                opts.admin_port = Some(
-                    val("--admin-port")
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --admin-port")),
-                )
-            }
+            "--admin-port" => opts.admin_port = Some(num(flag, val(flag))),
             other => usage(&format!("unknown flag {other}")),
         }
     }
@@ -229,12 +206,6 @@ fn parse() -> Opts {
     opts
 }
 
-/// Timer tag reserved for the admin publisher. The gossip layer owns
-/// the small tags (core round timers, sweep, catch-up, liveness) and
-/// treats unknown tags as a bug, so the wrapper *intercepts* this one —
-/// it is never delegated.
-const ADMIN_TAG: u64 = u64::MAX;
-
 /// Wall-clock microseconds since the UNIX epoch — the clock anchor
 /// that lets `net_cluster` align per-process trace timelines.
 fn unix_micros() -> u64 {
@@ -242,400 +213,6 @@ fn unix_micros() -> u64 {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_micros() as u64)
         .unwrap_or(0)
-}
-
-/// The snapshot the admin endpoints serve. Swapped wholesale by the
-/// publisher tick; handlers only ever clone strings out of the mutex,
-/// so a scrape can never block (or observe a half-written) round.
-struct Published {
-    metrics: String,
-    status: String,
-    health: String,
-    healthy: bool,
-    trace: String,
-}
-
-impl Default for Published {
-    fn default() -> Self {
-        // Pre-first-tick scrapes get a valid, optimistic skeleton.
-        Published {
-            metrics: String::new(),
-            status: "{}".to_string(),
-            health: "{\"healthy\":true,\"reasons\":[]}".to_string(),
-            healthy: true,
-            trace: "{\"traceEvents\":[]}".to_string(),
-        }
-    }
-}
-
-/// One Prometheus render of everything the replica knows, shared by
-/// the live `/metrics` endpoint and the exit-time `--metrics-out`
-/// export so the two can never disagree on names or coverage. All
-/// counter-set families go through `fields()` — a counter added to any
-/// set shows up here without touching this function.
-fn render_metrics(
-    core: &ConsensusCore,
-    gossip: &icc_sim::GossipCounters,
-    net: &NetCountersSnapshot,
-    links: &[icc_net::PeerLinkSnapshot],
-) -> String {
-    let m = &core.telemetry().metrics;
-    let mut snap = PromSnapshot::new();
-    snap.counter(
-        "icc_replica_blocks_committed_total",
-        "Blocks committed by this replica.",
-        m.blocks_committed.get(),
-    );
-    snap.counter(
-        "icc_replica_commands_committed_total",
-        "Client commands committed by this replica.",
-        m.commands_committed.get(),
-    );
-    snap.counter(
-        "icc_replica_rounds_entered_total",
-        "Rounds this replica entered.",
-        m.rounds_entered.get(),
-    );
-    snap.counter(
-        "icc_replica_catch_ups_applied_total",
-        "Certified catch-up packages this replica applied.",
-        m.catch_ups_applied.get(),
-    );
-    snap.gauge(
-        "icc_replica_current_round",
-        "Round the replica is currently working on.",
-        core.current_round().get() as i64,
-    );
-    snap.gauge(
-        "icc_replica_committed_round",
-        "Highest committed (finalized-prefix) round.",
-        core.committed_round().get() as i64,
-    );
-    snap.gauge(
-        "icc_replica_finalized_frontier",
-        "Highest explicitly finalized round in the pool.",
-        core.finalized_frontier().get() as i64,
-    );
-    snap.gauge(
-        "icc_replica_epoch",
-        "Active epoch index.",
-        core.current_epoch() as i64,
-    );
-    snap.histogram(
-        "icc_replica_round_duration_us",
-        "Round entry to notarized finish, microseconds.",
-        &m.round_duration_us,
-    );
-    snap.histogram(
-        "icc_replica_finalization_latency_us",
-        "Round entry to commit of that round's block, microseconds.",
-        &m.finalization_latency_us,
-    );
-    // Counter-set families: the field list IS the export, so the
-    // render cannot drift when a counter is added (the REPORT line's
-    // JSON iterates the same fields()).
-    snap.counter_series(
-        "icc_replica_net",
-        "TCP mesh transport counters (icc-net NetCounters).",
-        "field",
-        &net.fields(),
-    );
-    snap.counter_series(
-        "icc_replica_pool",
-        "Two-tier artifact pool counters (verification economy).",
-        "field",
-        &core.pool().stats().fields(),
-    );
-    snap.counter_series(
-        "icc_replica_gossip",
-        "Dissemination counters (relay fan-out, dedup, hop depths).",
-        "field",
-        &gossip.fields(),
-    );
-    snap.counter_series(
-        "icc_replica_storage",
-        "WAL + checkpoint storage counters.",
-        "field",
-        &core.storage_counters().fields(),
-    );
-    snap.counter_series(
-        "icc_replica_anomalies",
-        "Anomaly detector emissions by class.",
-        "class",
-        &core.telemetry().anomalies.counts().fields(),
-    );
-    snap.counter_series(
-        "icc_replica_recovery",
-        "Crash-recovery counters (restarts, catch-up traffic).",
-        "field",
-        &core.recovery_stats().fields(),
-    );
-    // Per-peer link gauges.
-    let peer_labels: Vec<String> = links.iter().map(|l| l.peer.to_string()).collect();
-    let series = |f: &dyn Fn(&icc_net::PeerLinkSnapshot) -> i64| -> Vec<(&str, i64)> {
-        peer_labels
-            .iter()
-            .zip(links)
-            .map(|(s, l)| (s.as_str(), f(l)))
-            .collect()
-    };
-    snap.gauge_series(
-        "icc_replica_link_connected",
-        "Outbound link established (1) or down (0), per peer.",
-        "peer",
-        &series(&|l| i64::from(l.connected)),
-    );
-    snap.gauge_series(
-        "icc_replica_link_queue_depth",
-        "Frames waiting in the bounded send queue, per peer.",
-        "peer",
-        &series(&|l| l.queue_depth as i64),
-    );
-    snap.gauge_series(
-        "icc_replica_link_backoff_ms",
-        "Current reconnect backoff in ms (0 while connected), per peer.",
-        "peer",
-        &series(&|l| l.backoff_ms as i64),
-    );
-    snap.gauge_series(
-        "icc_replica_link_reconnects",
-        "Completed reconnections, per peer.",
-        "peer",
-        &series(&|l| l.reconnects as i64),
-    );
-    snap.gauge_series(
-        "icc_replica_link_last_frame_age_us",
-        "Age of the last valid inbound frame in us (-1 = never), per peer.",
-        "peer",
-        &series(&|l| {
-            if l.last_frame_age_us == u64::MAX {
-                -1
-            } else {
-                l.last_frame_age_us as i64
-            }
-        }),
-    );
-    snap.render()
-}
-
-/// The driven node with the observability plane attached: delegates
-/// every event to the inner [`GossipNode`] and, on its own timer tag,
-/// publishes a fresh metrics/status/health/trace snapshot for the
-/// admin endpoints — plus feeds the anomaly detector the things only
-/// the driver loop can see (peer liveness transitions, fsync latency
-/// deltas, wall-clock ticks for silent stalls).
-struct ObservedNode {
-    inner: GossipNode,
-    /// False when no admin listener is up (no `--admin-port`, or the
-    /// `telemetry` feature is off): the publisher timer is never armed
-    /// and the wrapper is pure delegation.
-    active: bool,
-    publish: Arc<Mutex<Published>>,
-    links: Arc<LinkGauges>,
-    net: Arc<NetCounters>,
-    /// Publish cadence (also the anomaly tick granularity).
-    period: SimDuration,
-    /// UNIX µs at driver start — the cross-process clock anchor.
-    clock_anchor_us: u64,
-    /// `/health` thresholds.
-    stall_after_us: u64,
-    min_peers_up: u64,
-    /// Round-progress tracking for `/health`.
-    last_progress_us: u64,
-    prev_committed: u64,
-    /// Previous storage snapshot, for fsync latency deltas.
-    prev_storage: StorageCounters,
-}
-
-impl ObservedNode {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        inner: GossipNode,
-        active: bool,
-        publish: Arc<Mutex<Published>>,
-        links: Arc<LinkGauges>,
-        net: Arc<NetCounters>,
-        clock_anchor_us: u64,
-        stall_after_us: u64,
-        min_peers_up: u64,
-    ) -> Self {
-        ObservedNode {
-            inner,
-            active,
-            publish,
-            links,
-            net,
-            period: SimDuration::from_millis(250),
-            clock_anchor_us,
-            stall_after_us,
-            min_peers_up,
-            last_progress_us: 0,
-            prev_committed: 0,
-            prev_storage: StorageCounters::default(),
-        }
-    }
-
-    fn core(&self) -> &ConsensusCore {
-        self.inner.core()
-    }
-
-    fn core_mut(&mut self) -> &mut ConsensusCore {
-        self.inner.core_mut()
-    }
-
-    fn gossip_counters(&self) -> icc_sim::GossipCounters {
-        self.inner.gossip_counters()
-    }
-
-    /// One publish tick: feed the detector, re-evaluate health, render
-    /// every endpoint body, swap the published snapshot.
-    fn publish_tick(&mut self, ctx: &mut Context<'_, GossipMessage, NodeEvent>) {
-        let now_us = ctx.now().as_micros();
-        let me = ctx.me().get();
-        let n = ctx.n();
-
-        // Peer liveness transitions → flap detector (via the funnel,
-        // so flaps also land in the span ring).
-        for p in 0..n as u32 {
-            if p != me {
-                let up = ctx.peer_up(NodeIndex::new(p));
-                self.inner
-                    .core_mut()
-                    .telemetry_mut()
-                    .observe_peer(p, up, now_us);
-            }
-        }
-        // Fsync latency delta → spike detector (mean over the tick's
-        // fsyncs; individual latencies are not retained by the WAL).
-        let storage = self.inner.core().storage_counters();
-        let dn = storage.fsyncs.saturating_sub(self.prev_storage.fsyncs);
-        let dus = storage
-            .fsync_total_us
-            .saturating_sub(self.prev_storage.fsync_total_us);
-        if let Some(mean_us) = dus.checked_div(dn) {
-            self.inner
-                .core_mut()
-                .telemetry_mut()
-                .observe_fsync(now_us, mean_us);
-        }
-        self.prev_storage = storage;
-        // Clock tick → silent-stall detector.
-        self.inner.core_mut().telemetry_mut().tick(now_us);
-
-        // Round-progress tracking for /health.
-        let committed = self.inner.core().committed_round().get();
-        if committed > self.prev_committed {
-            self.prev_committed = committed;
-            self.last_progress_us = now_us;
-        }
-
-        let gossip = self.inner.gossip_counters();
-        let core = self.inner.core();
-        let net = self.net.snapshot();
-        let links = self.links.snapshot();
-        let peers_up = links.iter().filter(|l| l.connected).count() as u64;
-        let metrics = render_metrics(core, &gossip, &net, &links);
-        let status = StatusReport {
-            node: me,
-            now_us,
-            clock_anchor_us: self.clock_anchor_us,
-            current_round: core.current_round().get(),
-            committed_round: committed,
-            finalized_frontier: core.finalized_frontier().get(),
-            epoch: core.current_epoch(),
-            peers: links
-                .iter()
-                .map(|l| PeerLinkStatus {
-                    peer: l.peer as u32,
-                    connected: l.connected,
-                    queue_depth: l.queue_depth,
-                    queue_capacity: l.queue_capacity,
-                    backoff_ms: l.backoff_ms,
-                    last_frame_age_us: l.last_frame_age_us,
-                    reconnects: l.reconnects,
-                })
-                .collect(),
-            anomalies: core.telemetry().recent_anomalies(),
-        }
-        .to_json();
-        let inputs = HealthInputs {
-            now_us,
-            last_progress_us: self.last_progress_us,
-            committed_round: committed,
-            peers_up,
-            peers_total: links.len() as u64,
-            wal_io_errors: storage.io_errors,
-            stall_after_us: self.stall_after_us,
-            min_peers_up: self.min_peers_up,
-        };
-        let verdict = evaluate_health(&inputs);
-        let trace = chrome_trace_tagged(
-            &core.telemetry().recorder.events(),
-            me,
-            self.clock_anchor_us,
-        );
-        let mut slot = self.publish.lock().expect("publish lock");
-        *slot = Published {
-            metrics,
-            status,
-            health: verdict.to_json(&inputs),
-            healthy: verdict.healthy,
-            trace,
-        };
-    }
-}
-
-impl Node for ObservedNode {
-    type Msg = GossipMessage;
-    type External = Command;
-    type Output = icc_core::events::NodeEvent;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Output>) {
-        self.inner.on_start(ctx);
-        if self.active {
-            self.last_progress_us = ctx.now().as_micros();
-            self.publish_tick(ctx);
-            ctx.set_timer(self.period, ADMIN_TAG);
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Self::Msg, Self::Output>,
-        from: NodeIndex,
-        msg: Self::Msg,
-    ) {
-        self.inner.on_message(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Output>, tag: u64) {
-        if tag == ADMIN_TAG {
-            self.publish_tick(ctx);
-            ctx.set_timer(self.period, ADMIN_TAG);
-        } else {
-            self.inner.on_timer(ctx, tag);
-        }
-    }
-
-    fn on_external(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Output>, input: Command) {
-        self.inner.on_external(ctx, input);
-    }
-
-    fn on_crash(&mut self) {
-        self.inner.on_crash();
-    }
-
-    fn on_restart(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Output>) {
-        self.inner.on_restart(ctx);
-    }
-
-    fn on_peer_departed(
-        &mut self,
-        ctx: &mut Context<'_, Self::Msg, Self::Output>,
-        peer: NodeIndex,
-    ) {
-        self.inner.on_peer_departed(ctx, peer);
-    }
 }
 
 fn main() {
@@ -726,50 +303,29 @@ fn main() {
         .unwrap_or_else(|e| usage(&format!("bind {}: {e}", spec.addr(me))));
     let handle = transport.handle();
     let counters = transport.counters_handle();
-    let link_gauges = transport.links_handle();
+    let mut node =
+        ObservedNode::new(node).with_transport(Arc::clone(&counters), transport.links_handle());
     install_sigterm_handler();
     println!("READY {}", transport.local_addr());
     let _ = std::io::stdout().flush();
 
-    // The admin plane: handlers only clone pre-rendered strings out of
-    // the published snapshot — they never touch consensus state, so a
-    // scrape can never block a round. With the `telemetry` feature off
-    // `serve` binds nothing (port 0) and the publisher stays dark.
-    let publish = Arc::new(Mutex::new(Published::default()));
-    let mut admin = match opts.admin_port {
-        Some(port) => {
-            let metrics = Arc::clone(&publish);
-            let status = Arc::clone(&publish);
-            let health = Arc::clone(&publish);
-            let trace = Arc::clone(&publish);
-            let server = AdminBuilder::new()
-                .route("/metrics", move || {
-                    AdminResponse::text(metrics.lock().expect("publish lock").metrics.clone())
-                })
-                .route("/status", move || {
-                    AdminResponse::json(status.lock().expect("publish lock").status.clone())
-                })
-                .route("/health", move || {
-                    let slot = health.lock().expect("publish lock");
-                    let code = if slot.healthy { 200 } else { 503 };
-                    AdminResponse::json_status(code, slot.health.clone())
-                })
-                .route("/trace", move || {
-                    AdminResponse::json(trace.lock().expect("publish lock").trace.clone())
-                })
-                .serve(&format!("127.0.0.1:{port}"))
-                .unwrap_or_else(|e| usage(&format!("--admin-port {port}: {e}")));
-            if server.port() != 0 {
-                println!("ADMIN {}", server.local_addr());
-                let _ = std::io::stdout().flush();
-            }
-            Some(server)
+    // The wall clock and the driver's monotonic start are sampled
+    // back-to-back: the anchor maps this process's trace timestamps
+    // onto the cluster-shared UNIX timeline for stitching.
+    let clock_anchor_us = unix_micros();
+    let start = Instant::now();
+    // The admin plane serves the snapshot each publish tick renders;
+    // with the `telemetry` feature off it binds nothing (port 0).
+    let mut admin = opts.admin_port.map(|port| {
+        let server = node
+            .serve_admin(&format!("127.0.0.1:{port}"), clock_anchor_us)
+            .unwrap_or_else(|e| usage(&format!("--admin-port {port}: {e}")));
+        if server.port() != 0 {
+            println!("ADMIN {}", server.local_addr());
+            let _ = std::io::stdout().flush();
         }
-        None => None,
-    };
-    // Publish only when a real listener is up: feature-off (or no
-    // --admin-port) means no admin timer, no render work, no-op plane.
-    let admin_active = admin.as_ref().map(|s| s.port() != 0).unwrap_or(false);
+        server
+    });
 
     // Client-load injector: a background thread feeding commands into
     // the driver's inbox at --cmd-rate, tagged so payloads are unique
@@ -808,27 +364,7 @@ fn main() {
     };
 
     // The same driver loop the channel backend uses — only the
-    // transport differs. `/health` calls the replica stalled after ten
-    // round paces without commit progress (floor 2s for fast-paced
-    // configs), and isolated below the notarization quorum minus self.
-    let stall_after_us = (10 * opts.delta_bnd_ms * 1000).max(2_000_000);
-    let f = (n - 1) / 3;
-    let min_peers_up = (n - f - 1) as u64;
-    // The wall clock and the driver's monotonic start are sampled
-    // back-to-back: the anchor maps this process's trace timestamps
-    // onto the cluster-shared UNIX timeline for stitching.
-    let clock_anchor_us = unix_micros();
-    let start = Instant::now();
-    let node = ObservedNode::new(
-        node,
-        admin_active,
-        Arc::clone(&publish),
-        link_gauges,
-        Arc::clone(&counters),
-        clock_anchor_us,
-        stall_after_us,
-        min_peers_up,
-    );
+    // transport differs.
     let mut blocks: u64 = 0;
     let mut commands: u64 = 0;
     let mut node = drive(node, transport, start, |rec| {
@@ -849,28 +385,18 @@ fn main() {
     }
 
     let core = node.core();
-    let rec = core.recovery_stats();
-    let net = counters.snapshot();
-    let storage = core.storage_counters();
-    println!(
-        "REPORT {{\"me\":{},\"n\":{n},\"committed_round\":{},\"blocks\":{blocks},\
-         \"commands\":{commands},\"catch_up_applied\":{},\"catch_up_rejected\":{},\
-         \"wal_appends\":{},\"restarts\":{},\"recovered_round\":{},\
-         \"restore_verifications\":{},\"cross_epoch_catch_ups\":{},\
-         \"epoch_transitions\":{},\"storage\":{},\"net\":{}}}",
-        opts.me,
-        core.committed_round().get(),
-        rec.catch_up_applied,
-        rec.catch_up_rejected,
-        rec.wal_appends,
-        rec.restarts,
-        core.last_recovered_round(),
-        rec.restore_verifications,
-        rec.cross_epoch_catch_ups,
-        rec.epoch_transitions,
-        storage.to_json(),
-        net.to_json(),
-    );
+    let report = ReplicaReport {
+        me: u64::from(opts.me),
+        n: n as u64,
+        committed_round: core.committed_round().get(),
+        blocks,
+        commands,
+        recovered_round: core.last_recovered_round(),
+        recovery: core.recovery_stats(),
+        storage: core.storage_counters(),
+        net: counters.snapshot(),
+    };
+    println!("REPORT {}", report.encode());
     let _ = std::io::stdout().flush();
 
     if let Some(path) = &opts.trace_out {
@@ -894,7 +420,7 @@ fn main() {
     if let Some(path) = &opts.metrics_out {
         // The exact render `/metrics` serves live — same names, same
         // coverage, one code path.
-        let text = render_metrics(core, &node.gossip_counters(), &net, &node.links.snapshot());
+        let text = node.metrics();
         write_durable(path, text.as_bytes())
             .unwrap_or_else(|e| usage(&format!("--metrics-out {path}: {e}")));
         eprintln!("replica {}: metrics written to {path}", opts.me);

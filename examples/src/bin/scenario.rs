@@ -26,8 +26,9 @@
 //! * `--interdc`              inter-datacenter delay model instead of fixed
 //! * `--trace-out <path>`     write a Chrome trace-event JSON of the run's
 //!   flight-recorder events (open in Perfetto or `chrome://tracing`)
-//! * `--metrics-out <path>`   write a Prometheus-style text snapshot of the
-//!   run's counters and latency histograms
+//! * `--metrics-out <path>`   write the observer node's Prometheus text
+//!   snapshot under the same `icc_replica_*` names a live replica serves
+//!   on `/metrics` (`icc_node::render_metrics`)
 
 use icc_core::cluster::{Cluster, ClusterBuilder, CoreAccess};
 use icc_core::events::NodeEvent;
@@ -67,6 +68,13 @@ fn usage(err: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Parses the value of `flag`, or exits with usage.
+fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("bad {flag}")))
+}
+
 fn parse() -> Opts {
     let mut opts = Opts {
         nodes: 7,
@@ -93,54 +101,16 @@ fn parse() -> Opts {
                 .clone()
         };
         match flag.as_str() {
-            "--nodes" => {
-                opts.nodes = val("--nodes")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --nodes"))
-            }
+            "--nodes" => opts.nodes = num(flag, val(flag)),
             "--protocol" => opts.protocol = val("--protocol"),
-            "--delta-ms" => {
-                opts.delta_ms = val("--delta-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --delta-ms"))
-            }
-            "--delta-bnd-ms" => {
-                opts.delta_bnd_ms = Some(
-                    val("--delta-bnd-ms")
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --delta-bnd-ms")),
-                )
-            }
-            "--epsilon-ms" => {
-                opts.epsilon_ms = val("--epsilon-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --epsilon-ms"))
-            }
-            "--secs" => {
-                opts.secs = val("--secs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --secs"))
-            }
-            "--seed" => {
-                opts.seed = val("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --seed"))
-            }
-            "--crash" => {
-                opts.crash = val("--crash")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --crash"))
-            }
-            "--equivocate" => {
-                opts.equivocate = val("--equivocate")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --equivocate"))
-            }
-            "--churn" => {
-                opts.churn = val("--churn")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --churn"))
-            }
+            "--delta-ms" => opts.delta_ms = num(flag, val(flag)),
+            "--delta-bnd-ms" => opts.delta_bnd_ms = Some(num(flag, val(flag))),
+            "--epsilon-ms" => opts.epsilon_ms = num(flag, val(flag)),
+            "--secs" => opts.secs = num(flag, val(flag)),
+            "--seed" => opts.seed = num(flag, val(flag)),
+            "--crash" => opts.crash = num(flag, val(flag)),
+            "--equivocate" => opts.equivocate = num(flag, val(flag)),
+            "--churn" => opts.churn = num(flag, val(flag)),
             "--load" => {
                 let v = val("--load");
                 let (rate, size) = v
@@ -342,99 +312,15 @@ where
         println!("trace written           {path} ({instants} events)");
     }
     if let Some(path) = &opts.metrics_out {
-        let m = cluster.sim.metrics();
-        let mut snap = icc_telemetry::PromSnapshot::new();
-        snap.counter(
-            "icc_committed_blocks_total",
-            "Blocks committed by the observer node.",
-            committed.len() as u64,
+        // The observer node under the exact render a replica serves on
+        // `/metrics`; the TCP-only series are zero or empty.
+        let node = cluster.sim.node(observer);
+        let text = icc_node::render_metrics(
+            node.core(),
+            &node.gossip_counters().unwrap_or_default(),
+            &icc_net::NetCountersSnapshot::default(),
+            &[],
         );
-        snap.counter(
-            "icc_rounds_entered_total",
-            "Rounds entered, summed over nodes.",
-            core_m.rounds_entered.get(),
-        );
-        snap.counter(
-            "icc_blocks_proposed_total",
-            "Blocks proposed, summed over nodes.",
-            core_m.blocks_proposed.get(),
-        );
-        snap.counter(
-            "icc_blocks_committed_total",
-            "Blocks committed, summed over nodes.",
-            core_m.blocks_committed.get(),
-        );
-        snap.counter(
-            "icc_commands_committed_total",
-            "Client commands committed, summed over nodes.",
-            core_m.commands_committed.get(),
-        );
-        snap.counter(
-            "icc_catch_ups_applied_total",
-            "Certified catch-up packages applied, summed over nodes.",
-            core_m.catch_ups_applied.get(),
-        );
-        snap.histogram(
-            "icc_round_duration_us",
-            "Round entry to notarized finish, microseconds.",
-            &core_m.round_duration_us,
-        );
-        snap.histogram(
-            "icc_finalization_latency_us",
-            "Round entry to commit of that round's block, microseconds.",
-            fin,
-        );
-        snap.counter(
-            "icc_sent_messages_total",
-            "Messages sent across all nodes.",
-            m.total_messages(),
-        );
-        snap.counter(
-            "icc_sent_bytes_total",
-            "Wire bytes sent across all nodes.",
-            m.total_bytes(),
-        );
-        let by_kind = m.sent_by_kind_totals();
-        let msgs: Vec<(&str, u64)> = by_kind.iter().map(|(k, (n, _))| (*k, *n)).collect();
-        let bytes: Vec<(&str, u64)> = by_kind.iter().map(|(k, (_, b))| (*k, *b)).collect();
-        snap.counter_series(
-            "icc_sent_messages_by_kind_total",
-            "Messages sent, by artifact kind.",
-            "kind",
-            &msgs,
-        );
-        snap.counter_series(
-            "icc_sent_bytes_by_kind_total",
-            "Wire bytes sent, by artifact kind.",
-            "kind",
-            &bytes,
-        );
-        snap.counter_series(
-            "icc_pool_counters",
-            "Two-tier artifact pool counters (aggregate).",
-            "field",
-            &pool.fields(),
-        );
-        snap.counter_series(
-            "icc_recovery_counters",
-            "Crash-recovery counters (aggregate).",
-            "field",
-            &rec.fields(),
-        );
-        snap.counter_series(
-            "icc_gossip_counters",
-            "Dissemination counters: relay fan-out, dedup, hop depth, \
-             aggregator routing (aggregate).",
-            "field",
-            &summary.gossip.fields(),
-        );
-        snap.counter_series(
-            "icc_anomaly_counters",
-            "Anomalies flagged by the detector over the merged span stream.",
-            "class",
-            &anomaly_counts.fields(),
-        );
-        let text = snap.render();
         std::fs::write(path, text).unwrap_or_else(|e| usage(&format!("--metrics-out {path}: {e}")));
         println!("metrics written         {path}");
     }
